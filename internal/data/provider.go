@@ -213,32 +213,6 @@ func (pr *Provider) ShardSize(id int) int {
 	return DeriveShardSize(pr.profile, pr.cfg, id)
 }
 
-// MeanShardSize estimates the population's mean shard size from a strided
-// deterministic sample of at most sampleCap clients (≤ 0 defaults to 1024).
-// The estimate is exact for populations within the cap.
-func (pr *Provider) MeanShardSize(sampleCap int) int {
-	if sampleCap <= 0 {
-		sampleCap = 1024
-	}
-	n := pr.cfg.Clients
-	if n <= 0 {
-		return 1
-	}
-	count := n
-	if count > sampleCap {
-		count = sampleCap
-	}
-	total := 0
-	for i := 0; i < count; i++ {
-		total += pr.ShardSize(i * n / count)
-	}
-	m := total / count
-	if m <= 0 {
-		m = 1
-	}
-	return m
-}
-
 // Stats returns the working-set cache counters.
 func (pr *Provider) Stats() wset.Stats { return pr.cache.Stats() }
 

@@ -97,32 +97,6 @@ func TestDeriveShardSizeMatchesDerivation(t *testing.T) {
 	}
 }
 
-// TestMeanShardSizeSampled covers the provider-statistics path AutoDeadline
-// and workSpecFor depend on: exact within the cap, sampled and positive
-// beyond it, and stable across calls.
-func TestMeanShardSizeSampled(t *testing.T) {
-	p, err := NewProvider("femnist", GenerateConfig{Clients: 200, Seed: 5}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := p.MeanShardSize(200)
-	if exact <= 0 {
-		t.Fatalf("exact mean shard size %d, want positive", exact)
-	}
-	sampled := p.MeanShardSize(32)
-	if sampled <= 0 {
-		t.Fatalf("sampled mean shard size %d, want positive", sampled)
-	}
-	if again := p.MeanShardSize(32); again != sampled {
-		t.Fatalf("sampled mean not deterministic: %d then %d", sampled, again)
-	}
-	// The lognormal volume distribution concentrates near the profile mean;
-	// a 32-client stride sample must land in the same ballpark.
-	if sampled < exact/2 || sampled > exact*2 {
-		t.Fatalf("sampled mean %d implausibly far from exact %d", sampled, exact)
-	}
-}
-
 // TestProviderCacheBound asserts residency stays within capacity + pins.
 func TestProviderCacheBound(t *testing.T) {
 	p, err := NewProvider("femnist", GenerateConfig{Clients: 100, Seed: 9}, 4)

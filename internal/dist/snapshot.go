@@ -208,17 +208,10 @@ func (s *Server) RestoreSnapshot(data []byte) error {
 	return nil
 }
 
-// SetDraining toggles drain mode: while draining, no new tasks are handed
-// out (clients get 204 and back off) so outstanding work converges to
-// zero ahead of a snapshot. Re-issues of already-held tasks still work —
-// a drain must not strand a client that is mid-training.
-func (s *Server) SetDraining(on bool) {
-	s.mu.Lock()
-	s.draining = on
-	s.mu.Unlock()
-}
-
-// Draining reports whether drain mode is on.
+// Draining reports whether drain mode is on: while draining, no new tasks
+// are handed out (clients get 204 and back off) so outstanding work
+// converges to zero ahead of a snapshot. Re-issues of already-held tasks
+// still work — a drain must not strand a client that is mid-training.
 func (s *Server) Draining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

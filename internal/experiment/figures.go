@@ -57,13 +57,14 @@ func Fig2(sc Scale) ([]Table, error) {
 			return nil, err
 		}
 		l := res.Ledger
-		selected, completed := 0, 0
-		for i := range l.Selected {
-			selected += l.Selected[i]
-			completed += l.Completed[i]
+		// Every client-round counts as a selection; every successful one
+		// (a completion under some technique) as a completion.
+		completed := 0
+		for _, n := range l.TechSuccess {
+			completed += n
 		}
 		bias.Rows = append(bias.Rows, []string{
-			algo, d(selected), d(completed),
+			algo, d(l.TotalRounds), d(completed),
 			f1(l.NeverSelectedFraction() * 100), f1(l.NeverCompletedFraction() * 100),
 			f3(l.SelectionGini()), f3(l.SelectionJainIndex()),
 		})

@@ -159,19 +159,6 @@ func TestApplyAggregateSingleClientRound(t *testing.T) {
 	}
 }
 
-func TestMeanShardSize(t *testing.T) {
-	if got := meanShardSize(nil); got != 1 {
-		t.Fatalf("empty federation mean shard = %d, want 1", got)
-	}
-	if got := meanShardSize([][]nn.Sample{{}, {}}); got != 1 {
-		t.Fatalf("all-empty shards mean = %d, want 1", got)
-	}
-	shards := [][]nn.Sample{make([]nn.Sample, 10), make([]nn.Sample, 20)}
-	if got := meanShardSize(shards); got != 15 {
-		t.Fatalf("mean shard = %d, want 15", got)
-	}
-}
-
 func TestIsFinite(t *testing.T) {
 	if !isFinite(tensor.Vector{1, -2, 0}) {
 		t.Fatal("finite vector rejected")

@@ -97,8 +97,7 @@ func evictStaleVersion(versions map[int]tensor.Vector, version, cap int) {
 }
 
 // RunAsync executes FedBuff over the classic dense federation/population
-// pair. It is a thin wrapper over RunAsyncPop with an eager population —
-// bit-identical to the historical engine (the committed goldens pin this).
+// pair. It is a thin wrapper over RunAsyncPop with an eager population.
 func RunAsync(fed *data.Federation, pop []*device.Client, ctrl Controller, cfg Config) (*Result, error) {
 	c := cfg.withDefaults()
 	if err := c.validate(); err != nil {
@@ -130,12 +129,10 @@ func RunAsync(fed *data.Federation, pop []*device.Client, ctrl Controller, cfg C
 // barriers; launch-time decisions observe controller state as of the last
 // aggregation, identically for every Parallelism.
 //
-// With an eager population the launcher scans the dense pool for eligible
-// clients, exactly as the historical engine did. A lazy population is
-// sampled instead: each launch pass walks a fresh random permutation under
-// a probe budget of O(concurrency), deriving only the clients it actually
-// considers, so resident state stays bounded by the provider caches plus
-// the in-flight set.
+// Each launch pass walks a fresh random permutation of the population
+// under a probe budget of O(concurrency), deriving only the clients it
+// actually considers, so with a lazy population resident state stays
+// bounded by the provider caches plus the in-flight set.
 func RunAsyncPop(p *population.Population, ctrl Controller, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -172,14 +169,10 @@ func RunAsyncPop(p *population.Population, ctrl Controller, cfg Config) (*Result
 	stepSec := timeout
 	stepOf := func(now float64) int { return int(now / stepSec) }
 
-	ledger := metrics.NewLedger(n)
-	if !p.Eager() {
-		ledger = metrics.NewSparseLedger(n)
-	}
 	res := &Result{
 		Algorithm:   "fedbuff",
 		Controller:  ctrl.Name(),
-		Ledger:      ledger,
+		Ledger:      metrics.NewLedger(n),
 		DeadlineSec: timeout,
 	}
 	hfDiff := make(map[int]float64)
@@ -196,7 +189,6 @@ func RunAsyncPop(p *population.Population, ctrl Controller, cfg Config) (*Result
 	var tasks taskHeap
 	heap.Init(&tasks)
 	now := 0.0
-	pop := p.AllClients() // nil in lazy mode
 
 	// launchOne pins client id, runs the cost model, and pushes the task.
 	launchOne := func(id int) error {
@@ -231,31 +223,12 @@ func RunAsyncPop(p *population.Population, ctrl Controller, cfg Config) (*Result
 		return nil
 	}
 
-	useLazyLaunch := !p.Eager() || cfg.forceLazySelection
+	// launch walks a fresh random permutation under a probe budget
+	// proportional to the open slots — deriving only probed clients —
+	// instead of an O(population) eligibility scan. A probe derives through
+	// the unpinned cache; only actual launches pin.
 	launch := func() error {
 		step0 := stepOf(now)
-		if !useLazyLaunch {
-			eligible := make([]int, 0, len(pop))
-			for _, c := range pop {
-				if !inFlight[c.ID] && c.ResourcesAt(step0).Available {
-					eligible = append(eligible, c.ID)
-				}
-			}
-			rng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
-			for len(inFlight) < cfg.Concurrency && len(eligible) > 0 {
-				id := eligible[0]
-				eligible = eligible[1:]
-				if err := launchOne(id); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		// Lazy launch: walk a fresh random permutation under a probe budget
-		// proportional to the open slots — deriving only probed clients —
-		// instead of the eager path's O(population) eligibility scan. A
-		// probe derives through the unpinned cache; only actual launches
-		// pin.
 		want := cfg.Concurrency - len(inFlight)
 		if want <= 0 {
 			return nil
@@ -296,7 +269,7 @@ func RunAsyncPop(p *population.Population, ctrl Controller, cfg Config) (*Result
 	// pending-event queues are empty and only the task heap is in flight.
 	ckState := &asyncRunState{
 		cfg: cfg, p: p, ctrl: ctrl, global: global, res: res,
-		hfDiff: hfDiff, src: src, timeout: timeout, useLazyLaunch: useLazyLaunch,
+		hfDiff: hfDiff, src: src, timeout: timeout,
 		versions: versions, version: &version, now: &now,
 		evalCountdown: &evalCountdown, tasks: &tasks, inFlight: inFlight,
 	}

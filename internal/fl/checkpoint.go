@@ -85,7 +85,6 @@ type fingerprint struct {
 	ProxMu             float64 `json:"prox_mu"`
 	EvalClients        int     `json:"eval_clients"`
 	Population         int     `json:"population"`
-	LazySelection      bool    `json:"lazy_selection"`
 	Selector           string  `json:"selector"`
 	Controller         string  `json:"controller"`
 }
@@ -210,6 +209,22 @@ type runSnap struct {
 	Timeline    []byte               `json:"timeline,omitempty"`
 }
 
+// checkLedger rejects a snapshot whose ledger this build cannot resume.
+// Earlier builds kept a dense ledger ("sparse": false) for eager
+// populations, and only eager runs used their pool-scanning selection and
+// launch path ("lazy_selection": false in the fingerprint), so this one
+// check refuses every snapshot written under that path instead of
+// resuming it on a different selection stream.
+func (snap *runSnap) checkLedger() error {
+	if snap.Ledger == nil {
+		return &checkpoint.FormatError{Reason: "snapshot has no ledger"}
+	}
+	if !snap.Ledger.Sparse {
+		return &checkpoint.CompatError{Field: "ledger", Got: "dense", Want: "sparse"}
+	}
+	return nil
+}
+
 // taskSnap is one in-flight async task. The heap's backing array is
 // serialized in array order and restored verbatim: heap.Init on an
 // already-valid heap performs no swaps, so pop order — including ties on
@@ -242,16 +257,15 @@ type asyncSnap struct {
 // syncRunState bundles the sync engine's mutable loop state so the
 // snapshot/restore seams can live here rather than inline in the loop.
 type syncRunState struct {
-	cfg        Config
-	p          *population.Population
-	sel        selection.Selector
-	ctrl       Controller
-	global     *nn.Model
-	res        *Result
-	hfDiff     map[int]float64
-	src        *rngstate.Source
-	deadline   float64
-	useLazySel bool
+	cfg      Config
+	p        *population.Population
+	sel      selection.Selector
+	ctrl     Controller
+	global   *nn.Model
+	res      *Result
+	hfDiff   map[int]float64
+	src      *rngstate.Source
+	deadline float64
 }
 
 func (s *syncRunState) fingerprint() fingerprint {
@@ -271,7 +285,6 @@ func (s *syncRunState) fingerprint() fingerprint {
 		ProxMu:             s.cfg.ProxMu,
 		EvalClients:        s.cfg.EvalClients,
 		Population:         s.p.NumClients(),
-		LazySelection:      s.useLazySel,
 		Selector:           s.sel.Name(),
 		Controller:         s.ctrl.Name(),
 	}
@@ -342,6 +355,9 @@ func (s *syncRunState) restore(data []byte) (int, error) {
 	if err := snap.Fingerprint.mismatch(s.fingerprint()); err != nil {
 		return 0, err
 	}
+	if err := snap.checkLedger(); err != nil {
+		return 0, err
+	}
 	if snap.Completed > s.cfg.Rounds {
 		return 0, &checkpoint.CompatError{Field: "completed rounds",
 			Got: strconv.Itoa(snap.Completed), Want: "<= " + strconv.Itoa(s.cfg.Rounds)}
@@ -405,15 +421,14 @@ func (s *syncRunState) boundary(roundsDone int) (bool, error) {
 // fields alias the loop's local variables so snapshots always observe the
 // live values.
 type asyncRunState struct {
-	cfg           Config
-	p             *population.Population
-	ctrl          Controller
-	global        *nn.Model
-	res           *Result
-	hfDiff        map[int]float64
-	src           *rngstate.Source
-	timeout       float64
-	useLazyLaunch bool
+	cfg     Config
+	p       *population.Population
+	ctrl    Controller
+	global  *nn.Model
+	res     *Result
+	hfDiff  map[int]float64
+	src     *rngstate.Source
+	timeout float64
 
 	versions      map[int]tensor.Vector
 	version       *int
@@ -443,7 +458,6 @@ func (s *asyncRunState) fingerprint() fingerprint {
 		ProxMu:             s.cfg.ProxMu,
 		EvalClients:        s.cfg.EvalClients,
 		Population:         s.p.NumClients(),
-		LazySelection:      s.useLazyLaunch,
 		Selector:           "fedbuff",
 		Controller:         s.ctrl.Name(),
 	}
@@ -526,6 +540,9 @@ func (s *asyncRunState) restore(data []byte) (int, error) {
 		return 0, &checkpoint.FormatError{Reason: "async snapshot payload: " + err.Error()}
 	}
 	if err := snap.Fingerprint.mismatch(s.fingerprint()); err != nil {
+		return 0, err
+	}
+	if err := snap.checkLedger(); err != nil {
 		return 0, err
 	}
 	if snap.Completed > s.cfg.Rounds {

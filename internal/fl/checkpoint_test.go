@@ -186,14 +186,8 @@ func assertResumedMatchesFull(t *testing.T, full, prefix, resumed ckptRunOut, cl
 	if resumed.timeline != full.timeline {
 		t.Errorf("timeline export differs:\n--- resumed ---\n%s--- full ---\n%s", resumed.timeline, full.timeline)
 	}
-	if ra, fa := aggregatesOf(resumed.res.Ledger), aggregatesOf(full.res.Ledger); ra != fa {
-		t.Errorf("ledger aggregates differ:\n  resumed=%+v\n  full=%+v", ra, fa)
-	}
-	for id := 0; id < clients; id++ {
-		if resumed.res.Ledger.SelectedCount(id) != full.res.Ledger.SelectedCount(id) ||
-			resumed.res.Ledger.CompletedCount(id) != full.res.Ledger.CompletedCount(id) {
-			t.Fatalf("client %d tallies diverge after resume", id)
-		}
+	if rs, fs := resumed.res.Ledger.CheckpointState(), full.res.Ledger.CheckpointState(); !reflect.DeepEqual(rs, fs) {
+		t.Errorf("ledgers differ after resume:\n  resumed=%+v\n  full=%+v", rs, fs)
 	}
 }
 
@@ -391,6 +385,103 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	var fe *checkpoint.FormatError
 	if !errors.As(err, &fe) {
 		t.Fatalf("engine-kind mismatch: got %v, want FormatError", err)
+	}
+}
+
+// rewriteSnapshot decodes a snapshot of the given kind, lets edit change
+// its fingerprint and ledger objects, and re-frames the result — how the
+// tests forge snapshots that earlier builds wrote.
+func rewriteSnapshot(t *testing.T, snap []byte, kind string, edit func(fp, ledger map[string]any)) []byte {
+	t.Helper()
+	payload, err := checkpoint.DecodeBytes(snap, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top map[string]any
+	if err := json.Unmarshal(payload, &top); err != nil {
+		t.Fatal(err)
+	}
+	edit(top["fingerprint"].(map[string]any), top["ledger"].(map[string]any))
+	payload, err = json.Marshal(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := checkpoint.EncodeBytes(kind, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestResumeRejectsPoolScanSnapshot: earlier builds ran eager populations
+// through a pool-scanning selection and launch path and recorded that as
+// "lazy_selection": false, with a dense ledger ("sparse": false). Such a
+// snapshot, or any with a dense ledger, must be refused with a typed
+// CompatError and leave the population untouched, rather than resume on a
+// different selection stream with an empty ledger. A lazy-path snapshot of
+// the same builds ("lazy_selection": true, sparse ledger) still resumes.
+func TestResumeRejectsPoolScanSnapshot(t *testing.T) {
+	const clients = 32
+	run := func(engine string, p *population.Population, resume []byte) (*Result, error) {
+		cfg := ckptConfig(engine, 6)
+		if resume != nil {
+			cfg.Checkpoint = &CheckpointConfig{Resume: resume}
+		}
+		if engine == "async" {
+			return RunAsyncPop(p, newCkptCtrl(), cfg)
+		}
+		return RunSyncPop(p, selection.NewRandom(7), newCkptCtrl(), cfg)
+	}
+	dense := func(fp, ledger map[string]any) {
+		delete(ledger, "selected_sparse")
+		delete(ledger, "completed_sparse")
+		ledger["sparse"] = false
+		ledger["selected"] = make([]int, clients)
+		ledger["completed"] = make([]int, clients)
+	}
+	cases := []struct {
+		name string
+		edit func(fp, ledger map[string]any)
+	}{
+		{"pool-scan", func(fp, ledger map[string]any) {
+			fp["lazy_selection"] = false
+			dense(fp, ledger)
+		}},
+		{"dense-ledger", dense},
+	}
+	for _, engine := range []string{"sync-random", "async"} {
+		kind := SyncSnapshotKind
+		if engine == "async" {
+			kind = AsyncSnapshotKind
+		}
+		var snap []byte
+		runCkpt(t, engine, clients, 3, false, &CheckpointConfig{
+			Every: 3,
+			Sink:  func(b []byte) error { snap = b; return nil },
+		})
+		clean, err := run(engine, ckptPop(t, clients, false), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range cases {
+			p := ckptPop(t, clients, false)
+			_, err := run(engine, p, rewriteSnapshot(t, snap, kind, tc.edit))
+			var ce *checkpoint.CompatError
+			if !errors.As(err, &ce) || ce.Field != "ledger" {
+				t.Fatalf("%s %s: got %v, want a ledger CompatError", engine, tc.name, err)
+			}
+			after, err := run(engine, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(after.FinalParams, clean.FinalParams) {
+				t.Errorf("%s %s: population was mutated by the refused resume", engine, tc.name)
+			}
+		}
+		lazyPath := rewriteSnapshot(t, snap, kind, func(fp, _ map[string]any) { fp["lazy_selection"] = true })
+		if _, err := run(engine, ckptPop(t, clients, false), lazyPath); err != nil {
+			t.Errorf("%s: lazy-path snapshot of an earlier build refused: %v", engine, err)
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 
-	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/metrics"
 	"floatfl/internal/nn"
@@ -146,12 +145,6 @@ type Config struct {
 	// run (nil disables; the hot loops then pay one nil check per
 	// boundary).
 	Checkpoint *CheckpointConfig
-
-	// forceLazySelection routes selection through the LazySelector path
-	// even for an eager population. Test-only: it lets the equivalence
-	// tests run the identical selection schedule against eager and lazy
-	// backings of the same population.
-	forceLazySelection bool
 }
 
 func (c Config) withDefaults() Config {
@@ -246,37 +239,13 @@ type Result struct {
 	FinalParams tensor.Vector
 }
 
-// autoDeadlineSampleCap bounds how many clients AutoDeadline estimates
-// over: populations within the cap are measured exactly (preserving every
-// committed golden), larger ones through a deterministic strided sample —
-// a percentile over 2048 evenly-spaced clients of a million-client
-// population is statistically indistinguishable from the full scan at
-// 1/500th the cost.
-const autoDeadlineSampleCap = 2048
-
-// AutoDeadline derives the synchronous round deadline as a percentile of
-// the population's *clean* (interference-free) response-time estimates,
-// padded with 50% slack. Budgeting against the clean baseline mirrors how
-// deployments pick deadlines: generous for healthy devices, so runtime
-// dropouts are caused by interference and resource dips — the regime where
-// adaptive acceleration pays off. Populations larger than
-// autoDeadlineSampleCap are estimated via a deterministic strided sample;
-// an empty population falls back to the 60-second default.
-func AutoDeadline(pop []*device.Client, w device.WorkSpec, percentile float64) float64 {
-	count := len(pop)
-	if count > autoDeadlineSampleCap {
-		count = autoDeadlineSampleCap
-	}
-	ests := make([]float64, 0, count)
-	for i := 0; i < count; i++ {
-		ests = append(ests, device.EstimateCleanResponseSeconds(pop[i*len(pop)/count], w))
-	}
-	return deadlineFromEstimates(ests, percentile)
-}
-
-// deadlineFromEstimates applies AutoDeadline's percentile-and-slack rule
-// to a precomputed estimate sample (the lazy population path, which
-// derives its sample without materializing clients).
+// deadlineFromEstimates derives the synchronous round deadline as a
+// percentile of the population's *clean* (interference-free) response-time
+// estimates, padded with 50% slack. Budgeting against the clean baseline
+// mirrors how deployments pick deadlines: generous for healthy devices, so
+// runtime dropouts are caused by interference and resource dips — the
+// regime where adaptive acceleration pays off. No estimates (an empty
+// population) fall back to the 60-second default.
 func deadlineFromEstimates(ests []float64, percentile float64) float64 {
 	d := metrics.Percentile(ests, percentile) * 1.5
 	if d <= 0 {
@@ -296,24 +265,6 @@ func setModelBackend(m *nn.Model, name string) error {
 	}
 	m.SetBackend(be)
 	return nil
-}
-
-// meanShardSize returns the average client shard size, guarding the
-// degenerate cases (no clients, all-empty shards) that would otherwise
-// divide by zero; workSpecFor treats the floor of 1 as "one sample".
-func meanShardSize(shards [][]nn.Sample) int {
-	if len(shards) == 0 {
-		return 1
-	}
-	total := 0
-	for _, s := range shards {
-		total += len(s)
-	}
-	m := total / len(shards)
-	if m <= 0 {
-		m = 1
-	}
-	return m
 }
 
 // workSpecFor builds the client-round work spec from the architecture's
@@ -457,22 +408,12 @@ func isFinite(v tensor.Vector) bool {
 	return true
 }
 
-// evaluateClients returns the model's accuracy on every client's local
-// test split.
-func evaluateClients(m *nn.Model, fed *data.Federation) []float64 {
-	accs := make([]float64, len(fed.LocalTest))
-	for i, ts := range fed.LocalTest {
-		accs[i], _ = m.Evaluate(ts)
-	}
-	return accs
-}
-
 // evaluateClientsPop returns the model's accuracy on clients' local test
 // splits through the population seam. limit ≤ 0 (or ≥ population)
-// evaluates every client — identical to evaluateClients for an eager
-// population; a positive limit evaluates a deterministic strided sample,
-// the only affordable option at million-client scale. Lazy shards stream
-// through the bounded cache, so residency never exceeds its capacity.
+// evaluates every client; a positive limit evaluates a deterministic
+// strided sample, the only affordable option at million-client scale.
+// Lazy shards stream through the bounded cache, so residency never
+// exceeds its capacity.
 func evaluateClientsPop(m *nn.Model, p *population.Population, limit int) []float64 {
 	n := p.NumClients()
 	count := n

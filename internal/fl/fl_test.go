@@ -6,6 +6,7 @@ import (
 	"floatfl/internal/data"
 	"floatfl/internal/device"
 	"floatfl/internal/opt"
+	"floatfl/internal/population"
 	"floatfl/internal/selection"
 	"floatfl/internal/trace"
 )
@@ -260,13 +261,20 @@ func TestControllersMetadata(t *testing.T) {
 	}
 }
 
+// TestAutoDeadline: the derived deadline is positive and monotone in the
+// percentile.
 func TestAutoDeadline(t *testing.T) {
-	_, pop := testSetup(t, 20, trace.ScenarioNone)
+	fed, pop := testSetup(t, 20, trace.ScenarioNone)
+	p, err := population.WrapEager(fed, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := device.WorkSpec{RefFLOPsPerSample: 1e9, RefParams: 1e6, Samples: 50, Epochs: 5}
-	d50 := AutoDeadline(pop, w, 50)
-	d90 := AutoDeadline(pop, w, 90)
+	ests := p.CleanResponseEstimates(w)
+	d50 := deadlineFromEstimates(ests, 50)
+	d90 := deadlineFromEstimates(ests, 90)
 	if d50 <= 0 || d90 < d50 {
-		t.Fatalf("AutoDeadline not monotone: p50=%v p90=%v", d50, d90)
+		t.Fatalf("auto deadline not monotone: p50=%v p90=%v", d50, d90)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"floatfl/internal/device"
-	"floatfl/internal/metrics"
 	"floatfl/internal/obs"
 	"floatfl/internal/population"
 	"floatfl/internal/selection"
@@ -49,34 +47,9 @@ func lazyEagerPair(t *testing.T, clients int) (lazy, eager *population.Populatio
 	return lazy, eager
 }
 
-// ledgerAggregates flattens a ledger's mode-independent surface so sparse
-// (lazy) and dense (eager) ledgers can be compared for semantic equality.
-type ledgerAggregates struct {
-	totalRounds, totalDrops, discarded        int
-	neverSel, neverComp, gini, jain, dropRate float64
-	wall                                      float64
-	wasted                                    metrics.Inefficiency
-}
-
-func aggregatesOf(l *metrics.Ledger) ledgerAggregates {
-	return ledgerAggregates{
-		totalRounds: l.TotalRounds,
-		totalDrops:  l.TotalDrops,
-		discarded:   l.Discarded,
-		neverSel:    l.NeverSelectedFraction(),
-		neverComp:   l.NeverCompletedFraction(),
-		gini:        l.SelectionGini(),
-		jain:        l.SelectionJainIndex(),
-		dropRate:    l.DropRate(),
-		wall:        l.WallClockSeconds,
-		wasted:      l.TotalInefficiency(),
-	}
-}
-
 // assertLazyEagerIdentical requires bit-for-bit equality of everything the
-// two runs report except the ledger representation, which is compared
-// through its semantic surface (aggregates + per-client tallies).
-func assertLazyEagerIdentical(t *testing.T, label string, lazyRes, eagerRes *Result, clients int) {
+// two runs report, the ledger's full checkpoint state included.
+func assertLazyEagerIdentical(t *testing.T, label string, lazyRes, eagerRes *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(lazyRes.FinalParams, eagerRes.FinalParams) {
 		t.Errorf("%s: FinalParams differ — lazy derivation is not bit-identical to eager state", label)
@@ -96,24 +69,8 @@ func assertLazyEagerIdentical(t *testing.T, label string, lazyRes, eagerRes *Res
 	if lazyRes.DeadlineSec != eagerRes.DeadlineSec {
 		t.Errorf("%s: DeadlineSec %v vs %v", label, lazyRes.DeadlineSec, eagerRes.DeadlineSec)
 	}
-	if !lazyRes.Ledger.Sparse() {
-		t.Errorf("%s: lazy run should carry a sparse ledger", label)
-	}
-	if eagerRes.Ledger.Sparse() {
-		t.Errorf("%s: eager run should carry a dense ledger", label)
-	}
-	if la, ea := aggregatesOf(lazyRes.Ledger), aggregatesOf(eagerRes.Ledger); la != ea {
-		t.Errorf("%s: ledger aggregates differ:\n  lazy=%+v\n  eager=%+v", label, la, ea)
-	}
-	for id := 0; id < clients; id++ {
-		if lazyRes.Ledger.SelectedCount(id) != eagerRes.Ledger.SelectedCount(id) {
-			t.Fatalf("%s: client %d selected %d lazy vs %d eager", label, id,
-				lazyRes.Ledger.SelectedCount(id), eagerRes.Ledger.SelectedCount(id))
-		}
-		if lazyRes.Ledger.CompletedCount(id) != eagerRes.Ledger.CompletedCount(id) {
-			t.Fatalf("%s: client %d completed %d lazy vs %d eager", label, id,
-				lazyRes.Ledger.CompletedCount(id), eagerRes.Ledger.CompletedCount(id))
-		}
+	if ls, es := lazyRes.Ledger.CheckpointState(), eagerRes.Ledger.CheckpointState(); !reflect.DeepEqual(ls, es) {
+		t.Errorf("%s: ledgers differ:\n  lazy=%+v\n  eager=%+v", label, ls, es)
 	}
 }
 
@@ -121,22 +78,22 @@ func assertLazyEagerIdentical(t *testing.T, label string, lazyRes, eagerRes *Res
 // (tiny cache, constant eviction and re-derivation) must produce the same
 // bits as an eager run over the materialized population — final
 // parameters, accuracy trajectories, wall clock, per-client ledger, and
-// the JSONL run log. forceLazySelection routes the eager run through the
-// same SelectLazy schedule so the comparison isolates state derivation.
+// the JSONL run log — for every selector.
 func TestRunSyncLazyMatchesEager(t *testing.T) {
-	const clients = 48
-	for _, selName := range []string{"random", "oort"} {
+	for _, selName := range []string{"random", "oort", "refl"} {
 		t.Run(selName, func(t *testing.T) {
 			newSel := func() selection.Selector {
-				if selName == "oort" {
+				switch selName {
+				case "oort":
 					return selection.NewOort(selection.OortConfig{Seed: 7})
+				case "refl":
+					return selection.NewREFL(selection.REFLConfig{Seed: 7})
 				}
 				return selection.NewRandom(7)
 			}
-			run := func(p *population.Population, forceLazy bool) (*Result, string) {
+			run := func(p *population.Population) (*Result, string) {
 				var buf bytes.Buffer
 				cfg := parSyncConfig(4)
-				cfg.forceLazySelection = forceLazy
 				cfg.Logger = NewJSONLLogger(&buf)
 				res, err := RunSyncPop(p, newSel(), newFeedbackDriven(), cfg)
 				if err != nil {
@@ -144,10 +101,10 @@ func TestRunSyncLazyMatchesEager(t *testing.T) {
 				}
 				return res, buf.String()
 			}
-			lazy, eager := lazyEagerPair(t, clients)
-			lazyRes, lazyLog := run(lazy, false)
-			eagerRes, eagerLog := run(eager, true)
-			assertLazyEagerIdentical(t, "sync "+selName, lazyRes, eagerRes, clients)
+			lazy, eager := lazyEagerPair(t, 48)
+			lazyRes, lazyLog := run(lazy)
+			eagerRes, eagerLog := run(eager)
+			assertLazyEagerIdentical(t, "sync "+selName, lazyRes, eagerRes)
 			if lazyLog != eagerLog {
 				t.Errorf("JSONL logs differ (%d vs %d bytes)", len(lazyLog), len(eagerLog))
 			}
@@ -156,18 +113,15 @@ func TestRunSyncLazyMatchesEager(t *testing.T) {
 }
 
 // TestRunAsyncLazyMatchesEager mirrors the sync equivalence for the
-// FedBuff engine: forceLazySelection routes the eager run through the same
-// probe-budgeted permutation launcher, so both runs share the event
-// schedule and must agree bit-for-bit.
+// FedBuff engine: both runs share the probe-budgeted permutation launcher
+// and the event schedule, and must agree bit-for-bit.
 func TestRunAsyncLazyMatchesEager(t *testing.T) {
-	const clients = 48
-	run := func(p *population.Population, forceLazy bool) (*Result, string) {
+	run := func(p *population.Population) (*Result, string) {
 		var buf bytes.Buffer
 		cfg := parSyncConfig(4)
 		cfg.Rounds = 5
 		cfg.Concurrency = 12
 		cfg.BufferK = 4
-		cfg.forceLazySelection = forceLazy
 		cfg.Logger = NewJSONLLogger(&buf)
 		res, err := RunAsyncPop(p, newFeedbackDriven(), cfg)
 		if err != nil {
@@ -175,10 +129,10 @@ func TestRunAsyncLazyMatchesEager(t *testing.T) {
 		}
 		return res, buf.String()
 	}
-	lazy, eager := lazyEagerPair(t, clients)
-	lazyRes, lazyLog := run(lazy, false)
-	eagerRes, eagerLog := run(eager, true)
-	assertLazyEagerIdentical(t, "async", lazyRes, eagerRes, clients)
+	lazy, eager := lazyEagerPair(t, 48)
+	lazyRes, lazyLog := run(lazy)
+	eagerRes, eagerLog := run(eager)
+	assertLazyEagerIdentical(t, "async", lazyRes, eagerRes)
 	if lazyLog != eagerLog {
 		t.Errorf("JSONL logs differ (%d vs %d bytes)", len(lazyLog), len(eagerLog))
 	}
@@ -229,25 +183,3 @@ func TestLazyTelemetryParallelismInvariant(t *testing.T) {
 		t.Errorf("shard cache never evicted; exposition:\n%s", m1)
 	}
 }
-
-// TestRunSyncPopLazyRequiresLazySelector pins the error path: a lazy
-// population cannot run behind a selector that needs the dense pool.
-func TestRunSyncPopLazyRequiresLazySelector(t *testing.T) {
-	p, err := population.NewLazy(lazyPopConfig(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunSyncPop(p, eagerOnlySelector{}, NoOpController{}, parSyncConfig(1))
-	if err == nil || !strings.Contains(err.Error(), "LazySelector") {
-		t.Fatalf("want LazySelector error, got %v", err)
-	}
-}
-
-// eagerOnlySelector implements only the dense Selector interface.
-type eagerOnlySelector struct{}
-
-func (eagerOnlySelector) Name() string { return "eager-only" }
-func (eagerOnlySelector) Select(selection.RoundInfo, []*device.Client, int) []int {
-	return nil
-}
-func (eagerOnlySelector) Observe(selection.Feedback) {}

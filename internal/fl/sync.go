@@ -41,8 +41,7 @@ type syncResult struct {
 
 // RunSync executes synchronous federated training over the classic dense
 // federation/population pair. It is a thin wrapper over RunSyncPop with an
-// eager population — bit-identical to the historical engine (the committed
-// goldens pin this).
+// eager population.
 func RunSync(fed *data.Federation, pop []*device.Client, sel selection.Selector,
 	ctrl Controller, cfg Config) (*Result, error) {
 
@@ -76,10 +75,9 @@ func RunSync(fed *data.Federation, pop []*device.Client, sel selection.Selector,
 // then releases the round's clients. The fan-out schedule cannot influence
 // the results, so any Parallelism produces bit-identical output.
 //
-// With an eager population the selector sees the classic checked-in dense
-// pool; a lazy population requires a selection.LazySelector, which probes
-// O(selected) clients instead of scanning the population. Memory per round
-// is then bounded by the provider cache capacity plus the selected set.
+// The selector probes O(selected) clients through the population instead
+// of scanning it, so with a lazy population the memory per round is
+// bounded by the provider cache capacity plus the selected set.
 func RunSyncPop(p *population.Population, sel selection.Selector,
 	ctrl Controller, cfg Config) (*Result, error) {
 
@@ -90,11 +88,6 @@ func RunSyncPop(p *population.Population, sel selection.Selector,
 	n := p.NumClients()
 	if n == 0 {
 		return nil, fmt.Errorf("fl: population is empty")
-	}
-	useLazySel := !p.Eager() || cfg.forceLazySelection
-	lazySel, isLazySel := sel.(selection.LazySelector)
-	if useLazySel && !isLazySel {
-		return nil, fmt.Errorf("fl: selector %q cannot drive a lazy population (implement selection.LazySelector)", sel.Name())
 	}
 	spec, err := nn.LookupSpec(cfg.Arch)
 	if err != nil {
@@ -118,14 +111,10 @@ func RunSyncPop(p *population.Population, sel selection.Selector,
 		deadline = deadlineFromEstimates(p.CleanResponseEstimates(refWork), cfg.DeadlinePercentile)
 	}
 
-	ledger := metrics.NewLedger(n)
-	if !p.Eager() {
-		ledger = metrics.NewSparseLedger(n)
-	}
 	res := &Result{
 		Algorithm:   sel.Name(),
 		Controller:  ctrl.Name(),
-		Ledger:      ledger,
+		Ledger:      metrics.NewLedger(n),
 		DeadlineSec: deadline,
 	}
 	// hfDiff tracks the latest deadline-difference human feedback per
@@ -137,14 +126,13 @@ func RunSyncPop(p *population.Population, sel selection.Selector,
 	// grown once, then every steady-state client round allocates nothing.
 	pool := newContextPool(global)
 	eo := newEngineObs(cfg.Metrics, cfg.Tracer)
-	pop := p.AllClients() // nil in lazy mode
 
 	// Checkpoint seam: restore runs against the freshly initialized state
 	// above, before the first round; boundary hooks fire at the end of
 	// every round — the engine's quiescent point.
 	ckState := &syncRunState{
 		cfg: cfg, p: p, sel: sel, ctrl: ctrl, global: global, res: res,
-		hfDiff: hfDiff, src: src, deadline: deadline, useLazySel: useLazySel,
+		hfDiff: hfDiff, src: src, deadline: deadline,
 	}
 	startRound := 0
 	if cfg.Checkpoint != nil && len(cfg.Checkpoint.Resume) > 0 {
@@ -161,32 +149,13 @@ func RunSyncPop(p *population.Population, sel selection.Selector,
 		// are anchored to it, so traces never depend on wall clock.
 		roundStart := res.WallClockSeconds
 		info := selection.RoundInfo{Round: round, Work: refWork, DeadlineSec: deadline}
+		// Real FL servers dispatch only to clients that checked in: the
+		// selector probes availability itself, an O(selected) walk rather
+		// than an O(population) check-in scan. Clients can still drop out
+		// mid-round if they go offline after selection.
 		var ids []int
-		emptyRound := false
-		withPhase("select", func() {
-			if useLazySel {
-				// Lazy selection probes availability itself — an O(selected)
-				// walk instead of the eager path's O(population) check-in scan.
-				ids = lazySel.SelectLazy(info, p, cfg.ClientsPerRound)
-				emptyRound = len(ids) == 0
-			} else {
-				// Real FL servers dispatch only to clients that checked in:
-				// filter the pool to currently-available devices. Clients can
-				// still drop out mid-round if they go offline after selection.
-				checkedIn := make([]*device.Client, 0, len(pop))
-				for _, c := range pop {
-					if c.ResourcesAt(round).Available {
-						checkedIn = append(checkedIn, c)
-					}
-				}
-				if len(checkedIn) == 0 {
-					emptyRound = true
-				} else {
-					ids = sel.Select(info, checkedIn, cfg.ClientsPerRound)
-				}
-			}
-		})
-		if emptyRound {
+		withPhase("select", func() { ids = sel.SelectLazy(info, p, cfg.ClientsPerRound) })
+		if len(ids) == 0 {
 			completed = round + 1
 			sampleRoundTimeline(cfg.Timeline, ctrl, round, res.WallClockSeconds,
 				obs.SeriesValue{Name: "round_selected"},

@@ -8,8 +8,7 @@ import (
 	"floatfl/internal/opt"
 )
 
-// IDCount is one (client ID, count) pair of a sparse tally's serialized
-// form.
+// IDCount is one (client ID, count) pair of a tally's serialized form.
 type IDCount struct {
 	ID int `json:"id"`
 	N  int `json:"n"`
@@ -37,15 +36,13 @@ func (s *ShardedCounts) Export() []IDCount {
 // Restore replaces the counter's contents with the exported pairs.
 // Non-positive counts are dropped (Inc can never have produced them).
 func (s *ShardedCounts) Restore(items []IDCount) {
-	for i := range s.shards {
-		s.shards[i] = make(map[int]int)
-	}
+	s.shards = [countShards]map[int]int{}
 	s.n = 0
 	for _, it := range items {
 		if it.N <= 0 {
 			continue
 		}
-		m := s.shards[uint(it.ID)%countShards]
+		m := s.shardFor(it.ID)
 		if _, ok := m[it.ID]; !ok {
 			s.n++
 		}
@@ -57,10 +54,10 @@ func (s *ShardedCounts) Restore(items []IDCount) {
 // enum keys (device.DropReason, opt.Technique) round-trip through JSON as
 // quoted integers, keeping the format free of string parsing.
 type LedgerState struct {
-	Clients         int                       `json:"clients"`
+	Clients int `json:"clients"`
+	// Sparse is always true. Older builds also kept a dense ledger whose
+	// state carried false here; such a state cannot be restored.
 	Sparse          bool                      `json:"sparse"`
-	Selected        []int                     `json:"selected,omitempty"`
-	Completed       []int                     `json:"completed,omitempty"`
 	SelectedSparse  []IDCount                 `json:"selected_sparse,omitempty"`
 	CompletedSparse []IDCount                 `json:"completed_sparse,omitempty"`
 	DropsByReason   map[device.DropReason]int `json:"drops_by_reason,omitempty"`
@@ -79,7 +76,7 @@ type LedgerState struct {
 func (l *Ledger) CheckpointState() *LedgerState {
 	st := &LedgerState{
 		Clients:       l.clients,
-		Sparse:        l.Sparse(),
+		Sparse:        true,
 		DropsByReason: copyMap(l.DropsByReason),
 		TotalDrops:    l.TotalDrops,
 		TotalRounds:   l.TotalRounds,
@@ -90,19 +87,14 @@ func (l *Ledger) CheckpointState() *LedgerState {
 		Useful:        l.Useful,
 		WallClock:     l.WallClockSeconds,
 	}
-	if l.Sparse() {
-		st.SelectedSparse = l.selectedS.Export()
-		st.CompletedSparse = l.completedS.Export()
-	} else {
-		st.Selected = append([]int(nil), l.Selected...)
-		st.Completed = append([]int(nil), l.Completed...)
-	}
+	st.SelectedSparse = l.selectedS.Export()
+	st.CompletedSparse = l.completedS.Export()
 	return st
 }
 
 // RestoreCheckpoint replaces the ledger's state with a captured one. The
-// ledger must have been constructed for the same population size and
-// sparseness; on error nothing is modified.
+// ledger must have been constructed for the same population size; on
+// error nothing is modified.
 func (l *Ledger) RestoreCheckpoint(st *LedgerState) error {
 	if st == nil {
 		return fmt.Errorf("metrics: nil ledger state")
@@ -110,20 +102,11 @@ func (l *Ledger) RestoreCheckpoint(st *LedgerState) error {
 	if st.Clients != l.clients {
 		return fmt.Errorf("metrics: ledger state for %d clients, ledger has %d", st.Clients, l.clients)
 	}
-	if st.Sparse != l.Sparse() {
-		return fmt.Errorf("metrics: ledger state sparse=%v, ledger sparse=%v", st.Sparse, l.Sparse())
+	if !st.Sparse {
+		return fmt.Errorf("metrics: dense ledger state; only the sparse ledger can be restored")
 	}
-	if !st.Sparse && (len(st.Selected) != l.clients || len(st.Completed) != l.clients) {
-		return fmt.Errorf("metrics: dense ledger state has %d/%d tallies, want %d",
-			len(st.Selected), len(st.Completed), l.clients)
-	}
-	if st.Sparse {
-		l.selectedS.Restore(st.SelectedSparse)
-		l.completedS.Restore(st.CompletedSparse)
-	} else {
-		copy(l.Selected, st.Selected)
-		copy(l.Completed, st.Completed)
-	}
+	l.selectedS.Restore(st.SelectedSparse)
+	l.completedS.Restore(st.CompletedSparse)
 	l.DropsByReason = copyMap(st.DropsByReason)
 	if l.DropsByReason == nil {
 		l.DropsByReason = make(map[device.DropReason]int)

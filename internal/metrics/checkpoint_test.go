@@ -27,49 +27,45 @@ func aggregates(l *Ledger) [6]float64 {
 }
 
 // TestLedgerCheckpointRoundTrip proves state → JSON → restore reproduces
-// every tally and aggregate exactly, in both dense and sparse modes.
+// every tally and aggregate exactly.
 func TestLedgerCheckpointRoundTrip(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		mk := NewLedger
-		if sparse {
-			mk = NewSparseLedger
+	src := NewLedger(200)
+	exercise(src)
+	blob, err := json.Marshal(src.CheckpointState())
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var st LedgerState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	dst := NewLedger(200)
+	if err := dst.RestoreCheckpoint(&st); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if aggregates(dst) != aggregates(src) {
+		t.Fatalf("aggregates diverge: %v vs %v", aggregates(dst), aggregates(src))
+	}
+	for _, id := range []int{0, 3, 70, 129, 199} {
+		if dst.SelectedCount(id) != src.SelectedCount(id) || dst.CompletedCount(id) != src.CompletedCount(id) {
+			t.Fatalf("client %d tallies diverge", id)
 		}
-		src := mk(200)
-		exercise(src)
-		blob, err := json.Marshal(src.CheckpointState())
-		if err != nil {
-			t.Fatalf("sparse=%v: marshal: %v", sparse, err)
-		}
-		var st LedgerState
-		if err := json.Unmarshal(blob, &st); err != nil {
-			t.Fatalf("sparse=%v: unmarshal: %v", sparse, err)
-		}
-		dst := mk(200)
-		if err := dst.RestoreCheckpoint(&st); err != nil {
-			t.Fatalf("sparse=%v: restore: %v", sparse, err)
-		}
-		if aggregates(dst) != aggregates(src) {
-			t.Fatalf("sparse=%v: aggregates diverge: %v vs %v", sparse, aggregates(dst), aggregates(src))
-		}
-		for _, id := range []int{0, 3, 70, 129, 199} {
-			if dst.SelectedCount(id) != src.SelectedCount(id) || dst.CompletedCount(id) != src.CompletedCount(id) {
-				t.Fatalf("sparse=%v: client %d tallies diverge", sparse, id)
-			}
-		}
-		if dst.DropsByReason[device.DropDeadline] != 1 || dst.TechSuccess[opt.TechPrune50] != 1 ||
-			dst.TechFailure[opt.TechQuant8] != 1 || dst.Discarded != 1 {
-			t.Fatalf("sparse=%v: categorical tallies diverge: %+v", sparse, dst)
-		}
-		// The restored ledger must keep accumulating identically.
-		exercise(src)
-		exercise(dst)
-		if aggregates(dst) != aggregates(src) {
-			t.Fatalf("sparse=%v: post-restore accumulation diverges", sparse)
-		}
+	}
+	if dst.DropsByReason[device.DropDeadline] != 1 || dst.TechSuccess[opt.TechPrune50] != 1 ||
+		dst.TechFailure[opt.TechQuant8] != 1 || dst.Discarded != 1 {
+		t.Fatalf("categorical tallies diverge: %+v", dst)
+	}
+	// The restored ledger must keep accumulating identically.
+	exercise(src)
+	exercise(dst)
+	if aggregates(dst) != aggregates(src) {
+		t.Fatal("post-restore accumulation diverges")
 	}
 }
 
-// TestLedgerRestoreRejectsMismatch pins the compat checks.
+// TestLedgerRestoreRejectsMismatch pins the compat checks: a different
+// population size, and a dense-ledger state written by an older build,
+// are both rejected without touching the ledger.
 func TestLedgerRestoreRejectsMismatch(t *testing.T) {
 	src := NewLedger(10)
 	exercise(src)
@@ -77,8 +73,16 @@ func TestLedgerRestoreRejectsMismatch(t *testing.T) {
 	if err := NewLedger(11).RestoreCheckpoint(st); err == nil {
 		t.Fatal("restore into a different population size succeeded")
 	}
-	if err := NewSparseLedger(10).RestoreCheckpoint(st); err == nil {
-		t.Fatal("restore of a dense state into a sparse ledger succeeded")
+	var dense LedgerState
+	if err := json.Unmarshal([]byte(`{"clients":10,"sparse":false,"selected":[0,1,0,0,0,0,0,0,0,0],"completed":[0,1,0,0,0,0,0,0,0,0],"total_rounds":1}`), &dense); err != nil {
+		t.Fatal(err)
+	}
+	dst := NewLedger(10)
+	if err := dst.RestoreCheckpoint(&dense); err == nil {
+		t.Fatal("restore of a dense ledger state succeeded")
+	}
+	if dst.TotalRounds != 0 || dst.SelectedCount(1) != 0 {
+		t.Fatal("rejected restore mutated the ledger")
 	}
 }
 

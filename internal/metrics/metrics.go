@@ -69,13 +69,9 @@ func (in *Inefficiency) Add(o Inefficiency) {
 type Ledger struct {
 	clients int
 
-	Selected  []int // per-client selection count (dense mode; nil in sparse mode)
-	Completed []int // per-client completion count (dense mode; nil in sparse mode)
-
-	// Sparse mode (NewSparseLedger): participation tallies in sharded
-	// sorted structures costing O(participants) memory — the ledger a
-	// million-client lazy population uses. All aggregate methods work in
-	// either mode; only the dense Selected/Completed slices are absent.
+	// Per-client participation tallies, held in sharded sorted structures
+	// costing O(participants) memory, so a million-client population pays
+	// only for the clients it actually touched.
 	selectedS  *ShardedCounts
 	completedS *ShardedCounts
 
@@ -100,22 +96,9 @@ type Ledger struct {
 	WallClockSeconds float64
 }
 
-// NewLedger creates a dense ledger for a population of the given size.
+// NewLedger creates a ledger for a population of the given size. Its
+// per-client tallies cost O(participants) memory, not O(population).
 func NewLedger(clients int) *Ledger {
-	return &Ledger{
-		clients:       clients,
-		Selected:      make([]int, clients),
-		Completed:     make([]int, clients),
-		DropsByReason: make(map[device.DropReason]int),
-		TechSuccess:   make(map[opt.Technique]int),
-		TechFailure:   make(map[opt.Technique]int),
-	}
-}
-
-// NewSparseLedger creates a ledger whose per-client tallies cost
-// O(participants) memory — for lazy populations where allocating a slice
-// per million clients would defeat the bounded-working-set contract.
-func NewSparseLedger(clients int) *Ledger {
 	return &Ledger{
 		clients:       clients,
 		selectedS:     NewShardedCounts(),
@@ -126,44 +109,18 @@ func NewSparseLedger(clients int) *Ledger {
 	}
 }
 
-// Sparse reports whether the ledger tallies participation sparsely.
-func (l *Ledger) Sparse() bool { return l.selectedS != nil }
+// SelectedCount returns client id's selection tally.
+func (l *Ledger) SelectedCount(id int) int { return l.selectedS.Get(id) }
 
-// SelectedCount returns client id's selection tally in either mode.
-func (l *Ledger) SelectedCount(id int) int {
-	if l.Sparse() {
-		return l.selectedS.Get(id)
-	}
-	if id >= 0 && id < len(l.Selected) {
-		return l.Selected[id]
-	}
-	return 0
-}
-
-// CompletedCount returns client id's completion tally in either mode.
-func (l *Ledger) CompletedCount(id int) int {
-	if l.Sparse() {
-		return l.completedS.Get(id)
-	}
-	if id >= 0 && id < len(l.Completed) {
-		return l.Completed[id]
-	}
-	return 0
-}
+// CompletedCount returns client id's completion tally.
+func (l *Ledger) CompletedCount(id int) int { return l.completedS.Get(id) }
 
 // Record ingests one client-round outcome.
 func (l *Ledger) Record(clientID int, tech opt.Technique, out device.Outcome) {
 	if clientID >= 0 && clientID < l.clients {
-		if l.Sparse() {
-			l.selectedS.Inc(clientID)
-			if out.Completed {
-				l.completedS.Inc(clientID)
-			}
-		} else {
-			l.Selected[clientID]++
-			if out.Completed {
-				l.Completed[clientID]++
-			}
+		l.selectedS.Inc(clientID)
+		if out.Completed {
+			l.completedS.Inc(clientID)
 		}
 	}
 	l.TotalRounds++
@@ -189,11 +146,7 @@ func (l *Ledger) Record(clientID int, tech opt.Technique, out device.Outcome) {
 // counts toward participation but not toward dropouts.
 func (l *Ledger) RecordDiscarded(clientID int, tech opt.Technique, out device.Outcome) {
 	if clientID >= 0 && clientID < l.clients {
-		if l.Sparse() {
-			l.selectedS.Inc(clientID)
-		} else {
-			l.Selected[clientID]++
-		}
+		l.selectedS.Inc(clientID)
 	}
 	l.TotalRounds++
 	l.Discarded++
@@ -210,16 +163,7 @@ func (l *Ledger) NeverSelectedFraction() float64 {
 	if l.clients == 0 {
 		return 0
 	}
-	if l.Sparse() {
-		return float64(l.clients-l.selectedS.Distinct()) / float64(l.clients)
-	}
-	n := 0
-	for _, c := range l.Selected {
-		if c == 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(l.clients)
+	return float64(l.clients-l.selectedS.Distinct()) / float64(l.clients)
 }
 
 // NeverCompletedFraction returns the share of the population that never
@@ -228,30 +172,18 @@ func (l *Ledger) NeverCompletedFraction() float64 {
 	if l.clients == 0 {
 		return 0
 	}
-	if l.Sparse() {
-		return float64(l.clients-l.completedS.Distinct()) / float64(l.clients)
-	}
-	n := 0
-	for _, c := range l.Completed {
-		if c == 0 {
-			n++
-		}
-	}
-	return float64(n) / float64(l.clients)
+	return float64(l.clients-l.completedS.Distinct()) / float64(l.clients)
 }
 
 // SelectionGini returns the Gini coefficient of selection counts: 0 means
 // perfectly even participation, 1 means a single client absorbed all
 // selections.
 func (l *Ledger) SelectionGini() float64 {
-	if l.Sparse() {
-		return giniWithZeros(l.selectedS.Counts(), l.clients-l.selectedS.Distinct())
-	}
-	return giniWithZeros(l.Selected, 0)
+	return giniWithZeros(l.selectedS.Counts(), l.clients-l.selectedS.Distinct())
 }
 
 // giniWithZeros computes the Gini coefficient over nonzero ∪ {0}^zeros
-// without materializing the zero prefix — sparse ledgers pass only the
+// without materializing the zero prefix — the ledger passes only the
 // participants plus the count of never-selected clients.
 func giniWithZeros(nonzero []int, zeros int) float64 {
 	n := len(nonzero) + zeros
@@ -278,12 +210,9 @@ func giniWithZeros(nonzero []int, zeros int) float64 {
 // everything. It complements the Gini coefficient with the fairness
 // measure most FL selection papers report.
 func (l *Ledger) SelectionJainIndex() float64 {
-	if l.Sparse() {
-		// Counts() iterates in a fixed shard-major sorted order, so the
-		// float accumulation below is byte-reproducible.
-		return jainWithZeros(l.selectedS.Counts(), l.clients-l.selectedS.Distinct())
-	}
-	return jainWithZeros(l.Selected, 0)
+	// Counts() iterates in a fixed shard-major sorted order, so the float
+	// accumulation is byte-reproducible.
+	return jainWithZeros(l.selectedS.Counts(), l.clients-l.selectedS.Distinct())
 }
 
 func jainWithZeros(nonzero []int, zeros int) float64 {

@@ -65,8 +65,8 @@ func TestLedgerRecord(t *testing.T) {
 	if l.TotalRounds != 3 || l.TotalDrops != 1 {
 		t.Fatalf("rounds=%d drops=%d", l.TotalRounds, l.TotalDrops)
 	}
-	if l.Selected[1] != 2 || l.Completed[1] != 1 {
-		t.Fatalf("client 1 selected=%d completed=%d", l.Selected[1], l.Completed[1])
+	if l.SelectedCount(1) != 2 || l.CompletedCount(1) != 1 {
+		t.Fatalf("client 1 selected=%d completed=%d", l.SelectedCount(1), l.CompletedCount(1))
 	}
 	if l.TechSuccess[opt.TechQuant8] != 1 || l.TechFailure[opt.TechQuant8] != 1 {
 		t.Fatal("per-technique tallies wrong")

@@ -8,14 +8,16 @@ import (
 	"floatfl/internal/opt"
 )
 
-// TestSparseLedgerMatchesDense feeds identical outcome streams into a
-// dense and a sparse ledger and requires every aggregate to agree
-// bit-for-bit — sparse mode is a representation change, not a semantic
-// one.
+// TestSparseLedgerMatchesDense feeds an outcome stream into the ledger
+// and into a dense per-client tally kept by the test, and requires every
+// aggregate to agree bit-for-bit with the dense reference — the sharded
+// tallies are a representation choice, not a semantic one.
 func TestSparseLedgerMatchesDense(t *testing.T) {
 	const clients = 500
-	dense := NewLedger(clients)
-	sparse := NewSparseLedger(clients)
+	l := NewLedger(clients)
+	selected := make([]int, clients)
+	completed := make([]int, clients)
+	drops, discarded := 0, 0
 
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 2000; i++ {
@@ -27,12 +29,17 @@ func TestSparseLedgerMatchesDense(t *testing.T) {
 		if !out.Completed {
 			out.Reason = device.DropDeadline
 		}
+		selected[id]++
 		if rng.Float64() < 0.1 {
-			dense.RecordDiscarded(id, opt.TechNone, out)
-			sparse.RecordDiscarded(id, opt.TechNone, out)
+			l.RecordDiscarded(id, opt.TechNone, out)
+			discarded++
+			continue
+		}
+		l.Record(id, opt.TechNone, out)
+		if out.Completed {
+			completed[id]++
 		} else {
-			dense.Record(id, opt.TechNone, out)
-			sparse.Record(id, opt.TechNone, out)
+			drops++
 		}
 	}
 
@@ -40,28 +47,44 @@ func TestSparseLedgerMatchesDense(t *testing.T) {
 		neverSel, neverComp, gini, jain, dropRate float64
 		totalRounds, totalDrops, discarded        int
 	}
-	of := func(l *Ledger) agg {
-		return agg{
-			neverSel:    l.NeverSelectedFraction(),
-			neverComp:   l.NeverCompletedFraction(),
-			gini:        l.SelectionGini(),
-			jain:        l.SelectionJainIndex(),
-			dropRate:    l.DropRate(),
-			totalRounds: l.TotalRounds,
-			totalDrops:  l.TotalDrops,
-			discarded:   l.Discarded,
+	zeros := func(xs []int) float64 {
+		n := 0
+		for _, x := range xs {
+			if x == 0 {
+				n++
+			}
 		}
+		return float64(n) / float64(len(xs))
 	}
-	d, s := of(dense), of(sparse)
-	if d != s {
-		t.Fatalf("sparse aggregates deviate from dense:\ndense  %+v\nsparse %+v", d, s)
+	want := agg{
+		neverSel:    zeros(selected),
+		neverComp:   zeros(completed),
+		gini:        giniWithZeros(selected, 0),
+		jain:        jainWithZeros(selected, 0),
+		dropRate:    float64(drops) / 2000,
+		totalRounds: 2000,
+		totalDrops:  drops,
+		discarded:   discarded,
+	}
+	got := agg{
+		neverSel:    l.NeverSelectedFraction(),
+		neverComp:   l.NeverCompletedFraction(),
+		gini:        l.SelectionGini(),
+		jain:        l.SelectionJainIndex(),
+		dropRate:    l.DropRate(),
+		totalRounds: l.TotalRounds,
+		totalDrops:  l.TotalDrops,
+		discarded:   l.Discarded,
+	}
+	if got != want {
+		t.Fatalf("ledger aggregates deviate from the dense reference:\ndense  %+v\nledger %+v", want, got)
 	}
 	for id := 0; id < clients; id++ {
-		if dense.Selected[id] != sparse.SelectedCount(id) {
-			t.Fatalf("client %d: selected %d dense vs %d sparse", id, dense.Selected[id], sparse.SelectedCount(id))
+		if selected[id] != l.SelectedCount(id) {
+			t.Fatalf("client %d: selected %d dense vs %d ledger", id, selected[id], l.SelectedCount(id))
 		}
-		if dense.Completed[id] != sparse.CompletedCount(id) {
-			t.Fatalf("client %d: completed %d dense vs %d sparse", id, dense.Completed[id], sparse.CompletedCount(id))
+		if completed[id] != l.CompletedCount(id) {
+			t.Fatalf("client %d: completed %d dense vs %d ledger", id, completed[id], l.CompletedCount(id))
 		}
 	}
 }
@@ -90,11 +113,11 @@ func TestShardedCountsDeterministicOrder(t *testing.T) {
 
 // TestSparseLedgerEmpty guards the degenerate aggregates.
 func TestSparseLedgerEmpty(t *testing.T) {
-	l := NewSparseLedger(0)
+	l := NewLedger(0)
 	if l.NeverSelectedFraction() != 0 || l.SelectionGini() != 0 || l.SelectionJainIndex() != 0 {
-		t.Fatal("empty sparse ledger aggregates must be zero")
+		t.Fatal("empty ledger aggregates must be zero")
 	}
-	l2 := NewSparseLedger(10)
+	l2 := NewLedger(10)
 	if got := l2.NeverSelectedFraction(); got != 1 {
 		t.Fatalf("untouched ledger never-selected %v, want 1", got)
 	}

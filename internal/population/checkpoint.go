@@ -69,27 +69,15 @@ func (p *Population) CheckpointState() (*State, error) {
 // on a freshly constructed population. For eager populations the logs are
 // replayed onto the dense clients (which must not have generated any
 // trace steps yet); for lazy populations they seed the provider's drain
-// store so every future derivation replays them.
+// store so every future derivation replays them. The state is validated
+// in full before anything is installed, so a rejected state leaves every
+// client's trace untouched.
 //
 // The engine then re-acquires any in-flight clients (rebuilding pinned
 // residency) before calling RestoreResidency.
 func (p *Population) RestoreDrainLogs(st *State) error {
 	if st == nil {
 		return fmt.Errorf("population: nil checkpoint state")
-	}
-	if p.Eager() {
-		for _, cl := range st.DrainLogs {
-			if cl.Client < 0 || cl.Client >= p.n {
-				return fmt.Errorf("population: drain log for client %d, population has %d", cl.Client, p.n)
-			}
-			av := p.clients[cl.Client].Avail
-			if av.StepsGenerated() > 0 {
-				return fmt.Errorf("population: restore requires a fresh population (client %d already generated %d steps)",
-					cl.Client, av.StepsGenerated())
-			}
-			av.ReplayDrains(cl.Drains)
-		}
-		return nil
 	}
 	logs := make(map[int][]trace.DrainEvent, len(st.DrainLogs))
 	for _, cl := range st.DrainLogs {
@@ -98,7 +86,19 @@ func (p *Population) RestoreDrainLogs(st *State) error {
 		}
 		logs[cl.Client] = cl.Drains
 	}
-	return p.devP.RestoreDrainState(logs)
+	if !p.Eager() {
+		return p.devP.RestoreDrainState(logs)
+	}
+	for _, cl := range st.DrainLogs {
+		if steps := p.clients[cl.Client].Avail.StepsGenerated(); steps > 0 {
+			return fmt.Errorf("population: restore requires a fresh population (client %d already generated %d steps)",
+				cl.Client, steps)
+		}
+	}
+	for _, cl := range st.DrainLogs {
+		p.clients[cl.Client].Avail.ReplayDrains(cl.Drains)
+	}
+	return nil
 }
 
 // RestoreResidency is restore phase two (lazy mode only; a no-op when

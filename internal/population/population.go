@@ -3,9 +3,11 @@
 // everything resident) or lazily (data/device Providers deriving client i
 // from (seed, clientID) on demand, with only a bounded LRU working set
 // resident). The fl engines run against this seam, so a round costs
-// O(selected) — not O(population) — memory when the population is lazy,
-// while the eager path stays a zero-overhead thin wrapper that keeps every
-// committed golden bit-identical.
+// O(selected) — not O(population) — memory when the population is lazy.
+// The two backings differ only in how client state is stored: selection,
+// launch, statistics and the ledger take one path for both, so a lazy
+// population and the eager wrapping of its materialization run
+// bit-identically.
 //
 // Ownership contract: the engines touch a Population only from their
 // single-threaded dispatch/collect passes. Dispatch Acquires (derive +
@@ -45,22 +47,27 @@ type Config struct {
 	CacheClients int
 	// StatSample caps the deterministic strided sample behind population
 	// statistics — mean shard size, auto-deadline estimates (≤ 0 defaults
-	// to 1024).
+	// to defaultStatSample).
 	StatSample int
 }
 
+// defaultStatSample is the statistics sample cap when Config.StatSample is
+// unset, and always for eager populations: statistics are exact for any
+// population of at most this many clients.
+const defaultStatSample = 1024
+
 // Population is the engines' view of a federation's client state.
 type Population struct {
-	n int
+	n          int
+	statSample int
 
 	// Eager backing (nil in lazy mode).
 	fed     *data.Federation
 	clients []*device.Client
 
 	// Lazy backing (nil in eager mode).
-	dataP      *data.Provider
-	devP       *device.Provider
-	statSample int
+	dataP *data.Provider
+	devP  *device.Provider
 
 	// Telemetry handles (nil-safe when not instrumented).
 	shardHits, shardMisses, shardEvictions *obs.Counter
@@ -71,9 +78,8 @@ type Population struct {
 	lastShard, lastDev                     wset.Stats
 }
 
-// WrapEager adapts the classic dense pair into a Population. The wrapper
-// adds no indirection cost that could perturb results: shards and clients
-// are returned by direct index, acquire/release are no-ops.
+// WrapEager adapts the classic dense pair into a Population: shards and
+// clients are returned by direct index, acquire/release are no-ops.
 func WrapEager(fed *data.Federation, clients []*device.Client) (*Population, error) {
 	if fed == nil {
 		return nil, fmt.Errorf("population: nil federation")
@@ -82,7 +88,7 @@ func WrapEager(fed *data.Federation, clients []*device.Client) (*Population, err
 		return nil, fmt.Errorf("fl: federation has %d clients, population has %d",
 			len(fed.Train), len(clients))
 	}
-	return &Population{n: len(clients), fed: fed, clients: clients}, nil
+	return &Population{n: len(clients), statSample: defaultStatSample, fed: fed, clients: clients}, nil
 }
 
 // NewLazy constructs a provider-backed population deriving client state on
@@ -92,7 +98,7 @@ func NewLazy(cfg Config) (*Population, error) {
 		return nil, fmt.Errorf("population: needs positive client count, got %d", cfg.Clients)
 	}
 	if cfg.StatSample <= 0 {
-		cfg.StatSample = 1024
+		cfg.StatSample = defaultStatSample
 	}
 	dataP, err := data.NewProvider(cfg.Dataset, data.GenerateConfig{
 		Clients:           cfg.Clients,
@@ -112,10 +118,11 @@ func NewLazy(cfg Config) (*Population, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Population{n: cfg.Clients, dataP: dataP, devP: devP, statSample: cfg.StatSample}, nil
+	return &Population{n: cfg.Clients, statSample: cfg.StatSample, dataP: dataP, devP: devP}, nil
 }
 
-// Eager reports whether the population is dense-backed.
+// Eager reports whether the population is dense-backed. It selects only
+// the backing store; no caller outside this package branches on it.
 func (p *Population) Eager() bool { return p.dataP == nil }
 
 // NumClients returns the population size.
@@ -136,12 +143,6 @@ func (p *Population) GlobalTest() []nn.Sample {
 	}
 	return p.dataP.GlobalTest()
 }
-
-// Federation returns the dense federation in eager mode, nil otherwise.
-func (p *Population) Federation() *data.Federation { return p.fed }
-
-// AllClients returns the dense client slice in eager mode, nil otherwise.
-func (p *Population) AllClients() []*device.Client { return p.clients }
 
 // Client returns client id, deriving it on demand in lazy mode. The
 // returned pointer is stable only while the client is resident; callers
@@ -186,44 +187,55 @@ func (p *Population) Release(id int) {
 	p.devP.Release(id)
 }
 
-// MeanShardSize returns the (estimated) mean client shard size, floored at
-// 1. Eager populations compute it exactly — the value feeds the reference
-// work spec the committed goldens pin — while lazy populations estimate it
-// from a strided deterministic sample of derivation-cheap size draws.
-func (p *Population) MeanShardSize() int {
-	if p.Eager() {
-		if p.n == 0 {
-			return 1
-		}
-		total := 0
-		for _, s := range p.fed.Train {
-			total += len(s)
-		}
-		m := total / p.n
-		if m <= 0 {
-			m = 1
-		}
-		return m
+// statIDs returns the deterministic strided sample behind the population
+// statistics: every client when the population fits in StatSample,
+// otherwise StatSample evenly spaced IDs.
+func (p *Population) statIDs() []int {
+	count := p.n
+	if count > p.statSample {
+		count = p.statSample
 	}
-	return p.dataP.MeanShardSize(p.statSample)
+	ids := make([]int, count)
+	for i := range ids {
+		ids[i] = i * p.n / count
+	}
+	return ids
+}
+
+// MeanShardSize returns the mean client shard size over the statistics
+// sample, floored at 1.
+func (p *Population) MeanShardSize() int {
+	ids := p.statIDs()
+	if len(ids) == 0 {
+		return 1
+	}
+	total := 0
+	for _, id := range ids {
+		if p.Eager() {
+			total += len(p.fed.Train[id])
+		} else {
+			total += p.dataP.ShardSize(id)
+		}
+	}
+	m := total / len(ids)
+	if m <= 0 {
+		m = 1
+	}
+	return m
 }
 
 // CleanResponseEstimates returns clean (interference-free) response-time
-// estimates for a strided deterministic sample of at most StatSample
-// clients — the lazy input to deadline auto-derivation. Sampled clients
-// are derived ephemerally and never enter the cache.
+// estimates over the statistics sample — the input to deadline
+// auto-derivation. Lazy clients are derived ephemerally and never enter
+// the cache.
 func (p *Population) CleanResponseEstimates(w device.WorkSpec) []float64 {
-	count := p.n
-	if !p.Eager() && count > p.statSample {
-		count = p.statSample
-	}
-	ests := make([]float64, 0, count)
-	for i := 0; i < count; i++ {
-		id := i * p.n / count
+	ids := p.statIDs()
+	ests := make([]float64, len(ids))
+	for i, id := range ids {
 		if p.Eager() {
-			ests = append(ests, device.EstimateCleanResponseSeconds(p.clients[id], w))
+			ests[i] = device.EstimateCleanResponseSeconds(p.clients[id], w)
 		} else {
-			ests = append(ests, p.devP.EstimateClean(id, w))
+			ests[i] = p.devP.EstimateClean(id, w)
 		}
 	}
 	return ests

@@ -9,12 +9,12 @@ import (
 
 // drive runs a selector through rounds of selection + feedback over a
 // small materialized pool, returning the concatenated selections.
-func drive(t *testing.T, s Selector, pool []*device.Client, start, rounds int) []int {
+func drive(t *testing.T, s Selector, pool *fakeView, start, rounds int) []int {
 	t.Helper()
 	var out []int
 	for round := start; round < start+rounds; round++ {
 		info := RoundInfo{Round: round, DeadlineSec: 120, Work: device.WorkSpec{RefFLOPsPerSample: 1e6, RefParams: 1e5, Samples: 64, Epochs: 1}}
-		ids := s.Select(info, pool, 4)
+		ids := s.SelectLazy(info, pool, 4)
 		out = append(out, ids...)
 		for i, id := range ids {
 			s.Observe(Feedback{
@@ -28,13 +28,13 @@ func drive(t *testing.T, s Selector, pool []*device.Client, start, rounds int) [
 	return out
 }
 
-func testPool(t *testing.T) []*device.Client {
+func testPool(t *testing.T) *fakeView {
 	t.Helper()
 	pool, err := device.NewPopulation(device.PopulationConfig{Clients: 24, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pool
+	return &fakeView{clients: pool, touched: make(map[int]bool)}
 }
 
 // TestSelectorCheckpointResume proves, for each built-in selector, that

@@ -8,36 +8,32 @@ import (
 	"floatfl/internal/device"
 )
 
-// PopulationView is the lazy population handle selectors draw from: client
-// state is derived on demand, so a selector must probe clients it is
+// PopulationView is the population handle selectors draw from: client
+// state may be derived on demand, so a selector must probe clients it is
 // actually considering rather than scan the whole population. The fl
-// engines pass their population facade here; Client may derive (and cache)
-// the client, so calls are confined to the single-threaded dispatch pass —
-// the same contract Select already has.
+// engines pass their population facade here, for eager and lazy backings
+// alike; Client may derive (and cache) the client, so calls are confined
+// to the single-threaded dispatch pass — the same contract SelectLazy
+// already has.
 type PopulationView interface {
 	NumClients() int
 	Client(id int) *device.Client
 }
 
-// LazySelector selects from a PopulationView without materializing the
-// population. Selection probes clients for availability itself (the eager
-// path's checked-in prefilter would be an O(population) scan), so the
-// returned IDs are available at info.Round, distinct, and at most k.
-//
-// All built-in selectors implement it. Probe-bounded selectors (Oort's
-// exploration, REFL's ping sample) see a random sample of the population
-// per round instead of all of it — the documented semantic difference of
-// lazy mode; Random is distribution-identical to its eager self.
+// LazySelector is a Selector that can also draw from an explicit client
+// pool. No engine uses the pool form; the type stays only because the
+// repository benchmark harness (perfbench) wraps the Random selector
+// through it, and Random is the one selector that still implements it.
 type LazySelector interface {
 	Selector
-	SelectLazy(info RoundInfo, view PopulationView, k int) []int
+	Select(info RoundInfo, pool []*device.Client, k int) []int
 }
 
 // PermSampler walks a uniform random permutation of [0, n) lazily: Next
 // performs one Fisher-Yates step using a sparse swap map, so drawing m
 // elements costs O(m) memory regardless of n. Distinctness is inherited
-// from the permutation. It is the sampling primitive behind every lazy
-// selector (and the async engine's launch sampling).
+// from the permutation. It is the sampling primitive behind every selector
+// (and the async engine's launch sampling).
 type PermSampler struct {
 	rng   *rand.Rand
 	n, i  int
@@ -68,10 +64,9 @@ func (s *PermSampler) Next() (int, bool) {
 	return vj, true
 }
 
-// SelectLazy implements LazySelector: walk a uniform random permutation,
-// keeping the first k currently-available clients — exactly the eager
-// "random k-subset of checked-in clients" distribution, without the
-// O(population) check-in scan.
+// SelectLazy implements Selector: walk a uniform random permutation,
+// keeping the first k currently-available clients — a uniform k-subset of
+// the checked-in clients, without an O(population) check-in scan.
 func (r *Random) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	n := view.NumClients()
 	if k > n {
@@ -91,10 +86,10 @@ func (r *Random) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	return out
 }
 
-// lazyProbeBudget bounds how many clients a probe-sampled selector derives
+// probeBudget bounds how many clients a probe-sampled selector derives
 // per round beyond its target: generous enough that a typical availability
 // rate fills k, bounded so a blackout round costs O(k), not O(population).
-func lazyProbeBudget(k, n int) int {
+func probeBudget(k, n int) int {
 	budget := 8*k + 64
 	if budget > n {
 		budget = n
@@ -102,7 +97,7 @@ func lazyProbeBudget(k, n int) int {
 	return budget
 }
 
-// SelectLazy implements LazySelector for Oort: the exploration slice draws
+// SelectLazy implements Selector for Oort: the exploration slice draws
 // from a probe-bounded random sample of never-tried clients, and
 // exploitation ranks the *known* set (clients with observed feedback —
 // already O(tried), not O(population)) by Oort utility, walking best-first
@@ -131,7 +126,7 @@ func (o *Oort) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	chosen := make([]int, 0, k)
 	inChosen := make(map[int]bool, k)
 	ps := NewPermSampler(o.rng, n)
-	for probes := lazyProbeBudget(nExplore, n); probes > 0 && len(chosen) < nExplore; probes-- {
+	for probes := probeBudget(nExplore, n); probes > 0 && len(chosen) < nExplore; probes-- {
 		id, ok := ps.Next()
 		if !ok {
 			break
@@ -181,7 +176,7 @@ func (o *Oort) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	sort.Slice(rank, byScore(rank))
 	sort.Slice(blacklisted, byScore(blacklisted))
 	// Walk best-first, probing availability; blacklisted clients are the
-	// last resort, as in the eager path.
+	// last resort.
 	for _, tier := range [][]scored{rank, blacklisted} {
 		for _, s := range tier {
 			if len(chosen) >= k {
@@ -195,7 +190,7 @@ func (o *Oort) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	}
 	// Unfilled slots (cold start: nothing known yet) fall back to random
 	// exploration of untried clients.
-	for probes := lazyProbeBudget(k-len(chosen), n); probes > 0 && len(chosen) < k; probes-- {
+	for probes := probeBudget(k-len(chosen), n); probes > 0 && len(chosen) < k; probes-- {
 		id, ok := ps.Next()
 		if !ok {
 			break
@@ -211,8 +206,8 @@ func (o *Oort) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	return chosen
 }
 
-// SelectLazy implements LazySelector for REFL: the server pings a
-// probe-bounded random sample each round (lazy REFL cannot ping a million
+// SelectLazy implements Selector for REFL: the server pings a
+// probe-bounded random sample each round (it cannot ping a million
 // clients), feeds the observations into the per-client availability
 // histories, and picks the fastest predicted-available clients from the
 // sample.
@@ -222,9 +217,9 @@ func (r *REFL) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 		k = n
 	}
 	ps := NewPermSampler(r.rng, n)
-	probed := make([]int, 0, lazyProbeBudget(k, n))
-	avail := make(map[int]bool, lazyProbeBudget(k, n))
-	for probes := lazyProbeBudget(k, n); probes > 0; probes-- {
+	probed := make([]int, 0, probeBudget(k, n))
+	avail := make(map[int]bool, probeBudget(k, n))
+	for probes := probeBudget(k, n); probes > 0; probes-- {
 		id, ok := ps.Next()
 		if !ok {
 			break
@@ -241,7 +236,7 @@ func (r *REFL) SelectLazy(info RoundInfo, view PopulationView, k int) []int {
 	candidates := make([]int, 0, len(probed))
 	for _, id := range probed {
 		// REFL's window prediction, additionally gated on the ping result:
-		// a lazy server only dispatches to clients that answered.
+		// the server only dispatches to clients that answered.
 		if avail[id] && r.predictAvailable(id) {
 			candidates = append(candidates, id)
 		}

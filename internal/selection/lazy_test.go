@@ -54,12 +54,12 @@ func checkSelection(t *testing.T, ids []int, view *fakeView, round, k int) {
 }
 
 // TestLazySelectorsContract runs every built-in selector through a few
-// lazy rounds with feedback, asserting the LazySelector contract: distinct
+// lazy rounds with feedback, asserting the Selector contract: distinct
 // in-range available IDs, and a probe count that is O(k), not
 // O(population).
 func TestLazySelectorsContract(t *testing.T) {
 	const n, k = 5000, 10
-	selectors := map[string]LazySelector{
+	selectors := map[string]Selector{
 		"random": NewRandom(3),
 		"oort":   NewOort(OortConfig{Seed: 4}),
 		"refl":   NewREFL(REFLConfig{Seed: 5}),

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"floatfl/internal/device"
 	"floatfl/internal/rngstate"
 )
 
@@ -78,66 +77,6 @@ func NewOort(cfg OortConfig) *Oort {
 
 // Name implements Selector.
 func (o *Oort) Name() string { return "oort" }
-
-// Select implements Selector: an exploration slice of never-tried clients
-// plus the top exploitation utilities.
-func (o *Oort) Select(info RoundInfo, pool []*device.Client, k int) []int {
-	if k > len(pool) {
-		k = len(pool)
-	}
-	preferred := o.cfg.PreferredDurationSec
-	if preferred <= 0 {
-		if o.pacerT <= 0 {
-			o.pacerT = info.DeadlineSec * 0.8
-			if o.pacerT <= 0 {
-				o.pacerT = 60
-			}
-		}
-		o.pace()
-		preferred = o.pacerT
-	}
-
-	// Exploration slice: never-tried clients, randomly ordered.
-	nExplore := int(math.Round(o.cfg.ExploreFrac * float64(k)))
-	var untried []int
-	for _, c := range pool {
-		if !o.tried[c.ID] {
-			untried = append(untried, c.ID)
-		}
-	}
-	o.rng.Shuffle(len(untried), func(i, j int) { untried[i], untried[j] = untried[j], untried[i] })
-	if nExplore > len(untried) {
-		nExplore = len(untried)
-	}
-	chosen := append([]int(nil), untried[:nExplore]...)
-	inChosen := make(map[int]bool, k)
-	for _, id := range chosen {
-		inChosen[id] = true
-	}
-
-	// Exploitation: rank the rest by Oort utility, skipping blacklisted
-	// clients unless the pool has nobody else to offer.
-	rest := make([]*device.Client, 0, len(pool))
-	var blacklisted []*device.Client
-	for _, c := range pool {
-		if inChosen[c.ID] {
-			continue
-		}
-		if math.IsInf(o.utility(c.ID, preferred), -1) {
-			blacklisted = append(blacklisted, c)
-			continue
-		}
-		rest = append(rest, c)
-	}
-	need := k - len(chosen)
-	if len(rest) < need {
-		rest = append(rest, blacklisted...)
-	}
-	ids := topKByScore(rest, func(c *device.Client) float64 {
-		return o.utility(c.ID, preferred)
-	}, need, o.rng)
-	return append(chosen, ids...)
-}
 
 // pace adapts the preferred duration like Oort's pacer: if fewer than half
 // of the recent participants beat T, relax it; if nearly everyone does,

@@ -10,7 +10,7 @@ import (
 func TestOortPacerRelaxesWhenClientsMiss(t *testing.T) {
 	o := NewOort(OortConfig{Seed: 1})
 	p := pool(t, 10)
-	o.Select(info(0), p, 5) // initializes pacerT from the deadline
+	o.SelectLazy(info(0), p, 5) // initializes pacerT from the deadline
 	t0 := o.pacerT
 	if t0 <= 0 {
 		t.Fatal("pacer not initialized")
@@ -21,7 +21,7 @@ func TestOortPacerRelaxesWhenClientsMiss(t *testing.T) {
 			Completed: true, Cost: device.Cost{TotalSeconds: t0 * 3},
 		}})
 	}
-	o.Select(info(1), p, 5)
+	o.SelectLazy(info(1), p, 5)
 	if o.pacerT <= t0 {
 		t.Fatalf("pacer did not relax: %v -> %v", t0, o.pacerT)
 	}
@@ -30,14 +30,14 @@ func TestOortPacerRelaxesWhenClientsMiss(t *testing.T) {
 func TestOortPacerTightensWhenEveryoneBeatsIt(t *testing.T) {
 	o := NewOort(OortConfig{Seed: 2})
 	p := pool(t, 10)
-	o.Select(info(0), p, 5)
+	o.SelectLazy(info(0), p, 5)
 	t0 := o.pacerT
 	for i := 0; i < 25; i++ {
 		o.Observe(Feedback{ClientID: i % 10, Outcome: device.Outcome{
 			Completed: true, Cost: device.Cost{TotalSeconds: t0 / 10},
 		}})
 	}
-	o.Select(info(1), p, 5)
+	o.SelectLazy(info(1), p, 5)
 	if o.pacerT >= t0 {
 		t.Fatalf("pacer did not tighten: %v -> %v", t0, o.pacerT)
 	}
@@ -51,7 +51,7 @@ func TestOortExplicitPreferredDisablesPacer(t *testing.T) {
 			Completed: true, Cost: device.Cost{TotalSeconds: 1000},
 		}})
 	}
-	o.Select(info(1), p, 5)
+	o.SelectLazy(info(1), p, 5)
 	if o.pacerT != 0 {
 		t.Fatalf("explicit preferred duration should keep the pacer off, pacerT=%v", o.pacerT)
 	}
@@ -107,15 +107,25 @@ func TestOortSelectSkipsBlacklisted(t *testing.T) {
 			o.Observe(Feedback{ClientID: id, Outcome: out})
 		}
 	}
-	ids := o.Select(info(1), p, 5)
+	ids := o.SelectLazy(info(1), p, 5)
+	picked := make(map[int]bool)
 	for _, id := range ids {
-		if id < 5 {
-			t.Fatalf("blacklisted client %d selected while good clients available", id)
+		picked[id] = true
+	}
+	for _, id := range ids {
+		if id >= 5 {
+			continue
+		}
+		for good := 5; good < 10; good++ {
+			if !picked[good] && p.clients[good].ResourcesAt(1).Available {
+				t.Fatalf("blacklisted client %d selected while good client %d was available", id, good)
+			}
 		}
 	}
-	// When only blacklisted clients can fill the round, they are used.
-	ids = o.Select(info(2), p, 10)
-	if len(ids) != 10 {
-		t.Fatalf("fallback did not fill the round: %d selected", len(ids))
+	// When only blacklisted clients can fill the round, they are used: a
+	// request for the whole pool returns every available client.
+	ids = o.SelectLazy(info(2), p, 10)
+	if want := availableAt(p, 2); len(ids) != want {
+		t.Fatalf("fallback did not fill the round: %d selected, %d available", len(ids), want)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"floatfl/internal/device"
 	"floatfl/internal/rngstate"
 )
 
@@ -63,39 +62,6 @@ func NewREFL(cfg REFLConfig) *REFL {
 
 // Name implements Selector.
 func (r *REFL) Name() string { return "refl" }
-
-// Select implements Selector: observe availability, predict windows, and
-// choose the fastest predicted-available clients.
-func (r *REFL) Select(info RoundInfo, pool []*device.Client, k int) []int {
-	if k > len(pool) {
-		k = len(pool)
-	}
-	// The server pings clients each round (REFL's availability reports).
-	var candidates []*device.Client
-	for _, c := range pool {
-		avail := c.ResourcesAt(info.Round).Available
-		h := append(r.history[c.ID], avail)
-		if len(h) > r.cfg.Window {
-			h = h[len(h)-r.cfg.Window:]
-		}
-		r.history[c.ID] = h
-		if r.predictAvailable(c.ID) {
-			candidates = append(candidates, c)
-		}
-	}
-	if len(candidates) == 0 {
-		candidates = pool
-	}
-	return topKByScore(candidates, func(c *device.Client) float64 {
-		// Fast clients first. Unseen clients get a speed prior from the
-		// estimated response time so the very first rounds are not random.
-		t, ok := r.respSecs[c.ID]
-		if !ok {
-			t = device.EstimateResponseSeconds(c, info.Round, info.Work)
-		}
-		return -t
-	}, k, r.rng)
-}
 
 // predictAvailable is REFL's window predictor. It combines the base-rate
 // test (available in at least AvailThreshold of recent observations) with

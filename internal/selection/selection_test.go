@@ -4,18 +4,22 @@ import (
 	"testing"
 
 	"floatfl/internal/device"
-	"floatfl/internal/trace"
 )
 
-func pool(t *testing.T, n int) []*device.Client {
+func pool(t *testing.T, n int) *fakeView {
 	t.Helper()
-	p, err := device.NewPopulation(device.PopulationConfig{
-		Clients: n, Scenario: trace.ScenarioDynamic, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
+	return newFakeView(t, n, 7)
+}
+
+// availableAt counts the view's clients available at round.
+func availableAt(v *fakeView, round int) int {
+	n := 0
+	for _, c := range v.clients {
+		if c.ResourcesAt(round).Available {
+			n++
+		}
 	}
-	return p
+	return n
 }
 
 func work() device.WorkSpec {
@@ -46,13 +50,13 @@ func TestRandomSelect(t *testing.T) {
 	if s.Name() != "fedavg" {
 		t.Fatalf("Name = %q", s.Name())
 	}
-	ids := s.Select(info(0), p, 10)
+	ids := s.Select(info(0), p.clients, 10)
 	if len(ids) != 10 {
 		t.Fatalf("selected %d, want 10", len(ids))
 	}
 	uniqueIDs(t, ids, 40)
 	// k > pool clamps.
-	if got := s.Select(info(0), p, 100); len(got) != 40 {
+	if got := s.Select(info(0), p.clients, 100); len(got) != 40 {
 		t.Fatalf("overselect returned %d, want 40", len(got))
 	}
 }
@@ -62,12 +66,12 @@ func TestRandomIsUnbiasedOverRounds(t *testing.T) {
 	s := NewRandom(2)
 	counts := make([]int, 30)
 	for r := 0; r < 300; r++ {
-		for _, id := range s.Select(info(r), p, 10) {
+		for _, id := range s.SelectLazy(info(r), p, 10) {
 			counts[id]++
 		}
 	}
-	// Every client should be selected a healthy number of times
-	// (expected 100 each).
+	// Every client should be selected a healthy number of times (about
+	// 100 each for a client that is always available).
 	for id, c := range counts {
 		if c < 50 {
 			t.Fatalf("random selection starved client %d (%d selections)", id, c)
@@ -81,11 +85,11 @@ func TestOortSelectBasics(t *testing.T) {
 	if s.Name() != "oort" {
 		t.Fatalf("Name = %q", s.Name())
 	}
-	ids := s.Select(info(0), p, 12)
+	ids := s.SelectLazy(info(0), p, 12)
 	if len(ids) != 12 {
 		t.Fatalf("selected %d, want 12", len(ids))
 	}
-	uniqueIDs(t, ids, 40)
+	checkSelection(t, ids, p, 0, 12)
 }
 
 func TestOortPrefersFastHighUtilityClients(t *testing.T) {
@@ -109,7 +113,7 @@ func TestOortPrefersFastHighUtilityClients(t *testing.T) {
 	}
 	counts := make([]int, 20)
 	for r := 0; r < 50; r++ {
-		for _, id := range s.Select(info(r), p, 5) {
+		for _, id := range s.SelectLazy(info(r), p, 5) {
 			counts[id]++
 		}
 	}
@@ -133,7 +137,7 @@ func TestOortExploresUntriedClients(t *testing.T) {
 		s.Observe(Feedback{ClientID: id,
 			Outcome: device.Outcome{Completed: true, Cost: device.Cost{TotalSeconds: 10}}, StatUtility: 1})
 	}
-	ids := s.Select(info(1), p, 10)
+	ids := s.SelectLazy(info(1), p, 10)
 	untried := 0
 	for _, id := range ids {
 		if id >= 15 {
@@ -151,11 +155,11 @@ func TestREFLSelectBasics(t *testing.T) {
 	if s.Name() != "refl" {
 		t.Fatalf("Name = %q", s.Name())
 	}
-	ids := s.Select(info(0), p, 10)
+	ids := s.SelectLazy(info(0), p, 10)
 	if len(ids) != 10 {
 		t.Fatalf("selected %d, want 10", len(ids))
 	}
-	uniqueIDs(t, ids, 40)
+	checkSelection(t, ids, p, 0, 10)
 }
 
 func TestREFLPrefersFastClients(t *testing.T) {
@@ -171,7 +175,7 @@ func TestREFLPrefersFastClients(t *testing.T) {
 	}
 	counts := make([]int, 20)
 	for r := 1; r < 40; r++ {
-		for _, id := range s.Select(info(r), p, 5) {
+		for _, id := range s.SelectLazy(info(r), p, 5) {
 			counts[id]++
 		}
 	}
@@ -192,11 +196,11 @@ func TestREFLSkipsPredictedUnavailable(t *testing.T) {
 	s := NewREFL(REFLConfig{Seed: 8, Window: 4, AvailThreshold: 0.75})
 	// Warm the availability history across several rounds.
 	for r := 0; r < 6; r++ {
-		s.Select(info(r), p, 10)
+		s.SelectLazy(info(r), p, 10)
 	}
 	// Find a client whose recent history is mostly unavailable.
 	var offline *device.Client
-	for _, c := range p {
+	for _, c := range p.clients {
 		h := s.history[c.ID]
 		n := 0
 		for _, a := range h {
@@ -224,11 +228,11 @@ func TestREFLMoreBiasedThanRandom(t *testing.T) {
 	countNever := func(sel Selector) int {
 		counts := make([]int, 60)
 		for r := 0; r < 100; r++ {
-			ids := sel.Select(info(r), p, 10)
+			ids := sel.SelectLazy(info(r), p, 10)
 			for _, id := range ids {
 				counts[id]++
 				// Feed plausible outcomes so respSecs accumulates.
-				secs := device.EstimateResponseSeconds(p[id], r, work())
+				secs := device.EstimateResponseSeconds(p.clients[id], r, work())
 				sel.Observe(Feedback{ClientID: id, Round: r,
 					Outcome: device.Outcome{Completed: true, Cost: device.Cost{TotalSeconds: secs}}})
 			}

@@ -2,7 +2,8 @@
 // evaluated against: Random (FedAvg's policy), Oort's utility-guided
 // selection, and REFL's availability-window prediction. FedBuff's
 // over-selection is implemented by the asynchronous engine in internal/fl,
-// which keeps a concurrency target filled via the Random selector.
+// which keeps a concurrency target filled by walking a random permutation
+// of the population (PermSampler).
 //
 // Each algorithm is faithful to the behaviour the paper measures rather
 // than to the full original codebase: Oort prefers clients with high
@@ -15,7 +16,6 @@ package selection
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"floatfl/internal/device"
 	"floatfl/internal/rngstate"
@@ -39,17 +39,18 @@ type Feedback struct {
 }
 
 // Selector chooses k clients each round and learns from feedback.
-// Selectors are used single-threaded: the engines call Select on the
+// Selectors are used single-threaded: the engines call SelectLazy on the
 // round's dispatch pass and Observe on the collect pass, in selection
 // order, from one goroutine — even when client execution itself is
 // parallel.
 type Selector interface {
 	Name() string
-	// Select returns the IDs of up to k clients from the pool. The IDs
-	// should be distinct: the engines execute selected clients
-	// concurrently, which is only safe across distinct clients, and they
-	// fall back to sequential execution when a selection repeats an ID.
-	Select(info RoundInfo, pool []*device.Client, k int) []int
+	// SelectLazy returns the IDs of up to k clients drawn from view. Client
+	// state may be derived on demand, so a selector probes only the
+	// clients it actually considers — a bounded number per round, never
+	// the whole population — and returns distinct IDs of clients that are
+	// available at info.Round.
+	SelectLazy(info RoundInfo, view PopulationView, k int) []int
 	// Observe ingests the outcome of a client round.
 	Observe(fb Feedback)
 }
@@ -69,7 +70,9 @@ func NewRandom(seed int64) *Random {
 // Name implements Selector.
 func (r *Random) Name() string { return "fedavg" }
 
-// Select implements Selector: a uniform k-subset of the pool.
+// Select draws a uniform k-subset of an explicit client pool. No engine
+// calls it — the engines select through SelectLazy — but the repository
+// benchmark harness names it through LazySelector, so it stays.
 func (r *Random) Select(_ RoundInfo, pool []*device.Client, k int) []int {
 	if k > len(pool) {
 		k = len(pool)
@@ -84,34 +87,6 @@ func (r *Random) Select(_ RoundInfo, pool []*device.Client, k int) []int {
 
 // Observe implements Selector (random selection learns nothing).
 func (r *Random) Observe(Feedback) {}
-
-// topKByScore returns the client IDs with the k highest scores, shuffling
-// ties deterministically via the provided rng.
-func topKByScore(pool []*device.Client, score func(*device.Client) float64, k int, rng *rand.Rand) []int {
-	type scored struct {
-		id    int
-		score float64
-		tie   float64
-	}
-	ss := make([]scored, len(pool))
-	for i, c := range pool {
-		ss[i] = scored{id: c.ID, score: score(c), tie: rng.Float64()}
-	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].score != ss[j].score {
-			return ss[i].score > ss[j].score
-		}
-		return ss[i].tie < ss[j].tie
-	})
-	if k > len(ss) {
-		k = len(ss)
-	}
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = ss[i].id
-	}
-	return out
-}
 
 // clamp01 bounds x to [0, 1].
 func clamp01(x float64) float64 {
